@@ -45,8 +45,6 @@ every job and survives across refinement retries and scheduler runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.abstract.domains import DomainSpec
@@ -169,8 +167,8 @@ def witness_margin(network: Network, label: int, x: np.ndarray) -> float:
     """Concrete float64 robustness margin of a candidate counterexample.
 
     ``margin <= delta`` means the point really misclassifies on the
-    *concrete* network — the CEGAR acceptance test for an abstract
-    ``FALSIFIED`` witness.
+    *concrete* network — the scheduler's acceptance test for an abstract
+    ``FALSIFIED`` witness and for a float32 screen-phase one.
     """
     logits = network.forward(np.asarray(x, dtype=np.float64))
     return float(logits[label] - np.delete(logits, label).max())
@@ -469,72 +467,3 @@ def abstraction_for(
     if abstraction.is_identity:
         return None
     return abstraction
-
-
-@dataclass(frozen=True)
-class CegarResult:
-    """Outcome of :func:`cegar_verify` plus its refinement trajectory.
-
-    Attributes:
-        outcome: the accepted verification outcome (abstract outcomes are
-            only accepted when sound: VERIFIED directly, FALSIFIED after
-            concrete float64 witness validation).
-        rounds: refinement rounds performed.
-        abstracted: whether an abstract network was tried at all.
-        fallback: whether the final outcome came from the concrete
-            network (refinement exhausted, abstract timeout, or the
-            partition refined down to singletons).
-    """
-
-    outcome: object
-    rounds: int
-    abstracted: bool
-    fallback: bool
-
-
-def cegar_verify(
-    network: Network,
-    prop,
-    verify_fn,
-    *,
-    mode: str | None,
-    level: int = DEFAULT_LEVEL,
-    delta: float = 0.0,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    seed: int = 0,
-) -> CegarResult:
-    """The single-property CEGAR loop (the ``verify`` command's driver).
-
-    ``verify_fn(network) -> outcome`` runs one verification attempt
-    (any engine); ``delta`` is the falsification threshold the concrete
-    witness check uses.  Abstract VERIFIED and concretely-validated
-    FALSIFIED outcomes are returned as-is; spurious witnesses refine and
-    retry; timeouts, exhausted rounds, and all-singleton partitions fall
-    back to one concrete run.
-    """
-    abstraction = abstraction_for(
-        network, mode, level, regions=[prop.region], seed=seed
-    )
-    if abstraction is None:
-        return CegarResult(verify_fn(network), 0, False, False)
-    rounds = 0
-    while True:
-        abstract = abstraction.build()
-        if abstract is network:
-            return CegarResult(verify_fn(network), rounds, True, True)
-        outcome = verify_fn(abstract)
-        if outcome.kind == "verified":
-            return CegarResult(outcome, rounds, True, False)
-        if (
-            outcome.kind == "falsified"
-            and witness_margin(network, prop.label, outcome.counterexample)
-            <= delta
-        ):
-            return CegarResult(outcome, rounds, True, False)
-        if (
-            outcome.kind == "timeout"
-            or rounds >= max_rounds
-            or not abstraction.refine_round()
-        ):
-            return CegarResult(verify_fn(network), rounds, True, True)
-        rounds += 1

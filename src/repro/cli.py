@@ -2,7 +2,8 @@
 
 Commands:
 
-- ``verify``   — decide one robustness property of a saved network.
+- ``verify``   — decide one robustness property of a saved network (a
+  one-job ``schedule`` run).
 - ``schedule`` — run a manifest of many (network, property) jobs through
   the multi-property scheduler (shared frontier, optional result cache,
   ``--workers`` cores for independent fused kernel groups,
@@ -69,18 +70,14 @@ from repro.abstract.domains import BASE_DOMAINS, DomainSpec
 from repro.abstract.netabs import (
     ABSTRACTION_MODES,
     DEFAULT_LEVEL as NETABS_DEFAULT_LEVEL,
-    cegar_verify,
 )
 from repro.attack.pgd import PGDConfig
 from repro.backend import BACKEND_CHOICES, set_active as set_active_backend
-from repro.backend import use_backend
 from repro.attack.search import find_counterexample
 from repro.core.config import VerifierConfig
-from repro.core.parallel import ParallelVerifier
 from repro.core.policy import BisectionPolicy
 from repro.core.property import RobustnessProperty, linf_property
 from repro.core.radius import certified_radius
-from repro.core.verifier import BatchedVerifier, Verifier
 from repro.exec import EXECUTOR_KINDS
 from repro.learn import (
     COST_MODELS,
@@ -106,14 +103,6 @@ from repro.sched import (
     VerificationJob,
     point_digest,
 )
-
-#: ``--engine`` menu: every engine decides the same property with the same
-#: soundness/δ-completeness semantics; they differ in execution shape.
-ENGINES = {
-    "sequential": Verifier,
-    "batched": BatchedVerifier,
-    "parallel": ParallelVerifier,
-}
 
 #: ``--domain`` menu: ``policy`` lets the learned policy pick per
 #: sub-region; any base domain pins a fixed :class:`DomainSpec` (combine
@@ -155,10 +144,15 @@ def _resolve_policy(domain: str, disjuncts: int, policy_file: str | None = None)
 
 def _load_point(spec: str, expected_size: int) -> np.ndarray:
     """A point from an ``.npy`` file or an inline comma-separated list."""
-    if spec.endswith(".npy"):
-        point = np.load(spec).astype(np.float64).reshape(-1)
-    else:
-        point = np.array([float(v) for v in spec.split(",")], dtype=np.float64)
+    try:
+        if spec.endswith(".npy"):
+            point = np.load(spec).astype(np.float64).reshape(-1)
+        else:
+            point = np.array(
+                [float(v) for v in spec.split(",")], dtype=np.float64
+            )
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot read point {spec!r}: {exc}")
     if point.size != expected_size:
         raise SystemExit(
             f"point has {point.size} entries, network expects {expected_size}"
@@ -185,72 +179,49 @@ def _add_common(
     parser.add_argument("--seed", type=int, default=0, help="random seed")
 
 
-def _witness_holds_f64(network, prop, delta: float, x) -> bool:
-    """Concrete float64 validation of a float32 screen counterexample."""
-    logits = network.forward(np.asarray(x, dtype=np.float64))
-    margin = float(logits[prop.label] - np.delete(logits, prop.label).max())
-    return margin <= delta
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
+    """One property as a one-job :class:`Scheduler` run.
+
+    Precision escalation and the network-abstraction CEGAR pre-pass are
+    the scheduler's own (``_run_escalated`` / ``_run_netabs``), so
+    ``verify`` and ``schedule`` decide a property the same way.
+    """
     _apply_kernel_flags(args)
     network = load_network(args.network)
     center = _load_point(args.center, network.input_size)
     prop = linf_property(network, center, args.epsilon)
-    config = VerifierConfig(
-        timeout=args.timeout, delta=args.delta, batch_size=args.batch_size
+    job = VerificationJob(
+        network,
+        prop,
+        config=VerifierConfig(
+            timeout=args.timeout, delta=args.delta, batch_size=args.batch_size
+        ),
+        policy=_resolve_policy(args.domain, args.disjuncts, args.policy_file),
+        seed=args.seed,
     )
-    policy = _resolve_policy(args.domain, args.disjuncts, args.policy_file)
-
-    def build(net):
-        if args.engine == "parallel":
-            return ParallelVerifier(
-                net, policy, config, workers=args.workers, rng=args.seed
-            )
-        return ENGINES[args.engine](net, policy, config, rng=args.seed)
-
-    def run_once(net):
-        if args.precision_escalation:
-            # Two-phase mixed precision for a single property: screen on
-            # the float32 backend, keep a falsification once its witness
-            # reproduces under a concrete float64 forward pass, otherwise
-            # re-run on the float64 reference (a single job carries no
-            # margin comfort signal, so every non-falsified screen
-            # verdict escalates).
-            with use_backend("numpy32"):
-                outcome = build(net).verify(prop)
-            if not (
-                outcome.kind == "falsified"
-                and _witness_holds_f64(
-                    net, prop, config.delta, outcome.counterexample
-                )
-            ):
-                outcome = build(net).verify(prop)
-            return outcome
-        return build(net).verify(prop)
-
-    if args.abstraction != "off":
-        cegar = cegar_verify(
-            network,
-            prop,
-            run_once,
-            mode=args.abstraction,
-            level=args.abstraction_level,
-            delta=config.delta,
-            seed=args.seed,
+    try:
+        scheduler = Scheduler(
+            [job],
+            backend=args.backend,
+            precision_escalation=True if args.precision_escalation else None,
+            escalation_margin=args.escalation_margin,
+            abstraction=args.abstraction,
+            abstraction_level=args.abstraction_level,
         )
-        outcome = cegar.outcome
-        if cegar.abstracted:
-            suffix = ", concrete fallback" if cegar.fallback else ""
-            print(
-                f"abstraction: {args.abstraction} level "
-                f"{args.abstraction_level}, {cegar.rounds} refinement "
-                f"rounds{suffix}"
-            )
-        else:
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(str(exc))
+    report = scheduler.run()
+    outcome = report.results[0].outcome
+    if report.abstraction != "off":
+        if report.metrics.get("sched.netabs.unsupported"):
             print("abstraction: not applicable (ran concrete)")
-    else:
-        outcome = run_once(network)
+        else:
+            suffix = "" if report.netabs_accepted else ", concrete fallback"
+            print(
+                f"abstraction: {report.abstraction} level "
+                f"{report.abstraction_level}, {report.netabs_rounds} "
+                f"refinement rounds{suffix}"
+            )
     print(f"result: {outcome.kind}")
     print(f"label under test: {prop.label}")
     stats = outcome.stats
@@ -939,22 +910,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--delta", type=float, default=1e-6, help="δ-completeness slack"
     )
     verify_parser.add_argument(
-        "--engine",
-        choices=sorted(ENGINES),
-        default="batched",
-        help="execution engine (same semantics, different shape)",
-    )
-    verify_parser.add_argument(
         "--batch-size",
         type=int,
         default=16,
         help="frontier sub-regions per batched sweep",
-    )
-    verify_parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="worker threads of the parallel engine (ignored by the others)",
     )
     _add_domain_flags(verify_parser)
     _add_abstraction_flags(verify_parser)

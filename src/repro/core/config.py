@@ -27,8 +27,8 @@ class VerifierConfig:
             offset).
         pgd: counterexample-search settings used at every node.
         batch_size: how many frontier sub-regions the batched engines
-            (:class:`~repro.core.verifier.BatchedVerifier`,
-            :class:`~repro.core.parallel.ParallelVerifier`) minimize and
+            (:class:`~repro.core.verifier.BatchedVerifier`, and each job's
+            chunk in a :class:`~repro.sched.Scheduler` sweep) minimize and
             analyze per sweep.  The sequential :class:`Verifier` ignores it.
     """
 

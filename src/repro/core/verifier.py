@@ -21,9 +21,9 @@ Randomness is attached to the *work item*, not the verifier: every item
 carries a :class:`numpy.random.SeedSequence` and spawns child sequences for
 its PGD call and its two split halves.  A sub-region's random stream is
 therefore a pure function of its path from the root, which is what lets the
-frontier-based :class:`BatchedVerifier` (and the thread pool in
-:mod:`repro.core.parallel`) process items in any order — or many at once —
-and still reproduce the sequential engine's per-region results.
+frontier-based :class:`BatchedVerifier` (and the multi-property
+:class:`~repro.sched.Scheduler`) process items in any order — or many at
+once — and still reproduce the sequential engine's per-region results.
 
 :class:`BatchedVerifier` is the GEMM-shaped engine: it restructures the
 stack into a frontier that pops up to ``config.batch_size`` items per
@@ -191,10 +191,9 @@ def batched_sweep(
 
     Runs one batched Minimize over all items, one batched Analyze per
     chosen-domain group, and refines every unverified item.  Returns
-    ``(terminal, child_pairs, sweep_stats)`` — the shared kernel of
-    :class:`BatchedVerifier` and the parallel engine's worker chunks, so
-    the two can never drift apart semantically.  May raise
-    :class:`TimeoutError` from the analyzer's deadline checks.
+    ``(terminal, child_pairs, sweep_stats)`` — the kernel of
+    :class:`BatchedVerifier`.  May raise :class:`TimeoutError` from the
+    analyzer's deadline checks.
 
     The three steps are exposed as standalone hooks (:func:`first_falsified`,
     :func:`choose_domains`, :func:`refine_unverified`) so the multi-property
@@ -251,7 +250,7 @@ def minimize_pgd_config(config: VerifierConfig) -> PGDConfig:
     """The PGD settings every engine's Minimize step must share.
 
     PGD exits early once it drops to δ: anything at or below δ is already
-    a δ-counterexample.  Centralized so the sequential, parallel, and
+    a δ-counterexample.  Centralized so the sequential, batched, and
     scheduler engines can never drift on the early-exit threshold (the
     solo/fused equivalence contract depends on identical PGD configs).
     """

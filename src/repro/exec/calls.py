@@ -7,12 +7,11 @@ boundary layer that makes process execution cheap and faithful:
 
 - **Descriptors.**  :func:`marshal_call` recognizes the kernel calls the
   engines actually submit (fused PGD, fused multi-label Analyze, solo
-  verification jobs, parallel-verifier sweep chunks) and rewrites each
-  into a :class:`KernelCall`: the name of a module-level entry point plus
-  a payload of plain arrays, config dicts, and small picklable objects.
-  Unknown calls return ``None`` and the executor falls back to plain
-  pickling, so any module-level function with picklable arguments still
-  works.
+  verification jobs) and rewrites each into a :class:`KernelCall`: the
+  name of a module-level entry point plus a payload of plain arrays,
+  config dicts, and small picklable objects.  Unknown calls return
+  ``None`` and the executor falls back to plain pickling, so any
+  module-level function with picklable arguments still works.
 
 - **Ship the network once per worker.**  The parent-side
   :class:`NetworkStore` writes each distinct network to a spill file at
@@ -299,30 +298,6 @@ def _marshal_analyze_checkpointed(
     )
 
 
-def _marshal_sweep_chunk(args, kwargs, store: NetworkStore) -> KernelCall | None:
-    """``sweep_chunk(network, policy, config, prop, chunk, deadline[, stop])``.
-
-    The trailing ``stop`` flag is advisory thread-shared state (see
-    :func:`repro.core.parallel.sweep_chunk`); it cannot pickle and is
-    deliberately not transported — a worker without it just runs the
-    sweep, which the coordinator already tolerates.
-    """
-    if kwargs or len(args) not in (6, 7):
-        return None
-    network, policy, config, prop, chunk, deadline = args[:6]
-    return KernelCall(
-        "repro.core.parallel:sweep_chunk_entry",
-        {
-            "network": store.handle(network),
-            "policy": policy,
-            "config": config,
-            "prop": prop,
-            "chunk": chunk,
-            "deadline": deadline,
-        },
-    )
-
-
 def _marshal_solo_verify(args, kwargs, store: NetworkStore) -> KernelCall | None:
     """``solo_verify(job)`` — the sequential engine's whole-job unit."""
     if kwargs or len(args) != 1:
@@ -349,7 +324,6 @@ _MARSHALLERS: dict[tuple[str, str], Callable] = {
         "repro.abstract.analyzer",
         "analyze_batch_checkpointed",
     ): _marshal_analyze_checkpointed,
-    ("repro.core.parallel", "sweep_chunk"): _marshal_sweep_chunk,
     ("repro.sched.scheduler", "solo_verify"): _marshal_solo_verify,
 }
 

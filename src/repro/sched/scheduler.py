@@ -57,8 +57,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.abstract.analyzer import (
     analyze_batch_checkpointed,
     analyze_batch_multi,
@@ -73,6 +71,7 @@ from repro.abstract.netabs import (
     DEFAULT_LEVEL,
     DEFAULT_MAX_ROUNDS,
     abstraction_for,
+    witness_margin,
 )
 from repro.backend import active as _active_backend
 from repro.backend import get as _get_backend
@@ -793,12 +792,10 @@ class Scheduler:
 
     @staticmethod
     def _witness_holds(job: VerificationJob, outcome) -> bool:
-        """Concrete float64 re-validation of a screen counterexample."""
-        logits = job.network.forward(
-            np.asarray(outcome.counterexample, dtype=np.float64)
+        """Concrete float64 re-validation of a screen or abstract witness."""
+        margin = witness_margin(
+            job.network, job.prop.label, outcome.counterexample
         )
-        label = job.prop.label
-        margin = float(logits[label] - np.delete(logits, label).max())
         return margin <= job.config.delta
 
     def _run_sequential(

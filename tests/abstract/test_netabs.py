@@ -19,7 +19,6 @@ from repro.abstract.domains import BASE_DOMAINS, DomainSpec
 from repro.abstract.netabs import (
     NetworkAbstraction,
     abstraction_for,
-    cegar_verify,
     witness_margin,
 )
 from repro.core.config import VerifierConfig
@@ -28,6 +27,7 @@ from repro.core.results import Falsified, Verified, VerificationStats
 from repro.nn.builders import lenet_conv, mlp, redundant_mlp
 from repro.nn.serialize import network_digest
 from repro.sched import Scheduler, VerificationJob
+from repro.sched.scheduler import JobResult
 from repro.utils.boxes import Box
 
 #: Slack for comparing abstract bounds against concrete float64 forwards.
@@ -116,35 +116,58 @@ def test_refinement_terminates_at_concrete_network():
     assert abstraction.merged_ratio == 1.0
 
 
-def test_cegar_spurious_counterexample_refines_then_falls_back():
+class _ScriptedScheduler(Scheduler):
+    """A Scheduler whose verification attempts are scripted.
+
+    ``attempt(network)`` stands in for one precision pass; every network
+    the netabs pre-pass dispatches is recorded in ``self.calls``.
+    """
+
+    def __init__(self, jobs, attempt, **kwargs):
+        super().__init__(jobs, abstraction="syntactic", **kwargs)
+        self.attempt = attempt
+        self.calls = []
+
+    def _dispatch(self, report, indexed, executor):
+        for index, job in indexed:
+            self.calls.append(job.network)
+            report.results[index] = JobResult(
+                index, job, self.attempt(job.network), cached=False,
+                elapsed=0.0,
+            )
+
+
+def test_scheduler_netabs_never_accepts_a_spurious_witness():
     """A persistently spurious abstract witness must never be accepted:
-    the loop refines, then decides on the concrete network."""
+    the pre-pass refines, then decides on the concrete network."""
     net = redundant_mlp(4, [8, 8], 3, dup=4, noise=1e-6, rng=2)
     center = np.full(4, 0.5)
     prop = linf_property(net, center, 0.01)
     # The center itself classifies as prop.label, so it is spurious as a
     # counterexample by construction.
     assert witness_margin(net, prop.label, center) > 0.0
-    calls = []
 
-    def verify_fn(candidate):
-        calls.append(candidate)
+    def attempt(candidate):
         if candidate is net:
             return Verified(VerificationStats())
         return Falsified(center, -1.0, VerificationStats())
 
-    result = cegar_verify(
-        net, prop, verify_fn, mode="syntactic", level=2, max_rounds=3
+    scheduler = _ScriptedScheduler(
+        [VerificationJob(net, prop)], attempt,
+        abstraction_level=2, netabs_max_rounds=3,
     )
-    assert result.outcome.kind == "verified"
-    assert result.abstracted and result.fallback
-    assert result.rounds >= 1  # at least one refinement round happened
-    assert calls[-1] is net  # decided on the concrete network
-    for candidate in calls[:-1]:
+    report = scheduler.run()
+    assert report.results[0].outcome.kind == "verified"
+    assert report.results[0].job.network is net
+    assert report.netabs_accepted == 0  # decided by the concrete fallback
+    assert report.netabs_rounds >= 1  # at least one refinement round
+    assert report.metrics["sched.netabs.spurious"] >= 1
+    assert scheduler.calls[-1] is net  # decided on the concrete network
+    for candidate in scheduler.calls[:-1]:
         assert candidate is not net  # earlier attempts were abstract
 
 
-def test_cegar_accepts_sound_abstract_verdicts():
+def test_scheduler_netabs_accepts_sound_abstract_verdicts():
     """Abstract VERIFIED and concretely-validated FALSIFIED are accepted
     without touching the concrete network."""
     net = redundant_mlp(4, [8, 8], 3, dup=4, noise=1e-9, rng=4)
@@ -155,9 +178,14 @@ def test_cegar_accepts_sound_abstract_verdicts():
         assert candidate is not net
         return Verified(VerificationStats())
 
-    result = cegar_verify(net, prop, verify_ok, mode="syntactic", level=2)
-    assert result.outcome.kind == "verified"
-    assert result.rounds == 0 and not result.fallback
+    scheduler = _ScriptedScheduler(
+        [VerificationJob(net, prop)], verify_ok, abstraction_level=2
+    )
+    report = scheduler.run()
+    assert report.results[0].outcome.kind == "verified"
+    assert report.results[0].job.network is net
+    assert report.netabs_accepted == 1 and report.netabs_rounds == 0
+    assert all(candidate is not net for candidate in scheduler.calls)
 
     # A genuine concrete misclassification as the abstract witness: the
     # float64 check passes, so the falsification is accepted directly.
@@ -171,11 +199,16 @@ def test_cegar_accepts_sound_abstract_verdicts():
     assert witness is not None, "workload never misclassifies"
 
     def verify_bad(candidate):
+        assert candidate is not net
         return Falsified(witness, -1.0, VerificationStats())
 
-    result = cegar_verify(net, prop, verify_bad, mode="syntactic", level=2)
-    assert result.outcome.kind == "falsified"
-    assert result.rounds == 0 and not result.fallback
+    scheduler = _ScriptedScheduler(
+        [VerificationJob(net, prop)], verify_bad, abstraction_level=2
+    )
+    report = scheduler.run()
+    assert report.results[0].outcome.kind == "falsified"
+    assert report.netabs_accepted == 1 and report.netabs_rounds == 0
+    assert all(candidate is not net for candidate in scheduler.calls)
 
 
 def test_abstraction_for_gates():

@@ -14,7 +14,6 @@ import pytest
 
 from repro.abstract.domains import DomainSpec, ZONOTOPE
 from repro.core.config import VerifierConfig
-from repro.core.parallel import verify_parallel
 from repro.core.policy import BisectionPolicy
 from repro.core.property import RobustnessProperty, linf_property
 from repro.core.results import Falsified, Verified
@@ -183,10 +182,13 @@ class TestBudgetsAndSemantics:
             np.testing.assert_array_equal(a.counterexample, b.counterexample)
 
 
-class TestParallelAgreement:
-    def test_parallel_frontier_agrees(self):
-        """Path-keyed seeds make parallel results scheduling-independent
-        per region; decided instances must agree with the batched engine."""
+class TestSchedulerAgreement:
+    def test_one_job_scheduler_matches_solo(self):
+        """``repro verify`` runs one job through the Scheduler; on a pool
+        of two it must reproduce the solo batched engine's outcome,
+        statistics and witness."""
+        from repro.sched import Scheduler, VerificationJob
+
         rng = np.random.default_rng(0)
         for seed in range(5):
             net = mlp(3, [8], 3, rng=seed)
@@ -194,6 +196,17 @@ class TestParallelAgreement:
             prop = linf_property(net, center, 0.1, clip_low=None, clip_high=None)
             config = VerifierConfig(timeout=10)
             bat = verify_batched(net, prop, config=config, rng=0)
-            par = verify_parallel(net, prop, config=config, workers=3, rng=0)
-            if "timeout" not in (bat.kind, par.kind):
-                assert bat.kind == par.kind
+            report = Scheduler(
+                [VerificationJob(net, prop, config=config, seed=0)], workers=2
+            ).run()
+            sched = report.results[0].outcome
+            assert sched.kind == bat.kind
+            if bat.kind == "timeout":
+                continue
+            assert sched.stats.pgd_calls == bat.stats.pgd_calls
+            assert sched.stats.analyze_calls == bat.stats.analyze_calls
+            assert sched.stats.splits == bat.stats.splits
+            if isinstance(bat, Falsified):
+                np.testing.assert_array_equal(
+                    sched.counterexample, bat.counterexample
+                )

@@ -1,9 +1,9 @@
 """Tests for spawn-based process-pool kernel execution.
 
 Covers the :class:`~repro.exec.ProcessExecutor` contract the engines rely
-on — ``run_all`` exception ordering, ``cancel_pending`` +
-``future_result`` handling of cancelled futures, a clear error (not a
-hang) when a worker is killed mid-call — plus the descriptor layer
+on — ``run_all`` exception ordering, ``shutdown(cancel_pending=True)``
+dropping unstarted calls, a clear error (not a hang) when a worker is
+killed mid-call — plus the descriptor layer
 (:mod:`repro.exec.calls`): known kernel calls must come back bitwise
 identical to their in-process results, with the network shipped once per
 worker, and workers must run with pinned single-threaded BLAS.
@@ -24,7 +24,7 @@ from repro.abstract.analyzer import analyze_batch_multi
 from repro.abstract.domains import DomainSpec
 from repro.attack.objective import MultiLabelMarginObjective
 from repro.attack.pgd import PGDConfig, pgd_minimize_batch
-from repro.exec import ProcessExecutor, future_result
+from repro.exec import ProcessExecutor
 from repro.exec.calls import NetworkStore, marshal_call, run_kernel_call
 from repro.nn.builders import mlp
 from repro.utils.boxes import Box
@@ -112,39 +112,27 @@ class TestProcessExecutorBasics:
             executor.submit(_ok, 1)
 
 
-class TestCancelPending:
-    def test_cancel_pending_drops_unstarted_work(self):
+class TestShutdownCancelPending:
+    def test_shutdown_cancel_pending_drops_unstarted_work(self):
         # A private 1-worker pool: one long call occupies the worker, so
         # queued submissions beyond the pool's small prefetch buffer have
-        # not started and must cancel.
-        with ProcessExecutor(1) as executor:
-            blocker = executor.submit(_sleep_then, 1.5, "blocker")
-            queued = {executor.submit(_ok, i) for i in range(6)}
-            remaining = executor.cancel_pending(queued)
-            cancelled = queued - remaining
-            # ProcessPoolExecutor prefetches ~1 call beyond the running
-            # one; everything else must have been dropped.
-            assert len(cancelled) >= len(queued) - 2
-            assert blocker.result(timeout=30) == "blocker"
-            for future in cancelled:
-                assert future.cancelled()
-                with pytest.raises(CancelledError):
-                    future.result()
-                assert future_result(future, default="skipped") == "skipped"
-            # The uncancellable stragglers still run to completion.
-            for future in remaining:
+        # not started and must cancel when the pool shuts down.
+        executor = ProcessExecutor(1)
+        blocker = executor.submit(_sleep_then, 1.0, "blocker")
+        queued = [executor.submit(_ok, i) for i in range(6)]
+        executor.shutdown(cancel_pending=True)
+        assert blocker.result(timeout=30) == "blocker"
+        cancelled = [future for future in queued if future.cancelled()]
+        # ProcessPoolExecutor prefetches ~1 call beyond the running one;
+        # everything else must have been dropped.
+        assert len(cancelled) >= len(queued) - 2
+        for future in cancelled:
+            with pytest.raises(CancelledError):
+                future.result()
+        # The uncancellable stragglers still ran to completion.
+        for future in queued:
+            if not future.cancelled():
                 assert future.result(timeout=30) in range(6)
-
-    def test_cancelled_futures_count_as_done_in_wait_any(self):
-        with ProcessExecutor(1) as executor:
-            blocker = executor.submit(_sleep_then, 1.0, "blocker")
-            queued = {executor.submit(_ok, i) for i in range(6)}
-            remaining = executor.cancel_pending(queued)
-            cancelled = queued - remaining
-            assert cancelled, "expected at least one cancelled future"
-            done, pending = executor.wait_any(set(cancelled))
-            assert done == cancelled and pending == set()
-            assert blocker.result(timeout=30) == "blocker"
 
 
 class TestWorkerCrash:
@@ -312,19 +300,17 @@ class TestKernelDescriptors:
         finally:
             store.close()
 
-    def test_parallel_verifier_runs_over_the_process_pool(
+    def test_one_job_scheduler_runs_over_the_process_pool(
         self, executor, kernel_case
     ):
-        # The frontier loop drives thread and process pools through the
-        # same pure sweep_chunk unit; sweep chunks cross as descriptors
-        # (the advisory stop flag is dropped by the marshaller — it
-        # would not pickle).  Outcome *kinds* must match the sequential
-        # engine (witness choice may differ by completion order, which
-        # is the parallel engine's documented contract).
+        # ``repro verify`` is a one-job Scheduler run; over a process
+        # pool its fused calls cross as descriptors.  Outcome kinds must
+        # match the solo batched engine, and a witness must be real.
+        from repro.abstract.netabs import witness_margin
         from repro.core.config import VerifierConfig
-        from repro.core.parallel import ParallelVerifier
         from repro.core.property import linf_property
         from repro.core.verifier import verify_batched
+        from repro.sched import Scheduler, VerificationJob
 
         network, _, _ = kernel_case
         config = VerifierConfig(timeout=30.0, batch_size=4)
@@ -332,16 +318,15 @@ class TestKernelDescriptors:
         for epsilon in (0.05, 0.6):  # one verified, one falsified case
             prop = linf_property(network, rng.uniform(0.3, 0.7, 4), epsilon)
             reference = verify_batched(network, prop, config=config, rng=0)
-            outcome = ParallelVerifier(
-                network, config=config, executor=executor, rng=0
-            ).verify(prop)
+            report = Scheduler(
+                [VerificationJob(network, prop, config=config, seed=0)],
+                executor=executor,
+            ).run()
+            outcome = report.results[0].outcome
             assert outcome.kind == reference.kind
             if outcome.kind == "falsified":
-                # δ-completeness: any returned witness must be real.
-                from repro.attack.objective import MarginObjective
-
-                margin = MarginObjective(network, prop.label)(
-                    outcome.counterexample
+                margin = witness_margin(
+                    network, prop.label, outcome.counterexample
                 )
                 assert margin <= config.delta
 

@@ -54,6 +54,116 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit, match="entries"):
             main(["verify", xor_path, "--center", "0.5", "--epsilon", "0.1"])
 
+    def test_malformed_point_exits(self, xor_path, tmp_path):
+        with pytest.raises(SystemExit, match="cannot read point"):
+            main(["verify", xor_path, "--center", "0.5,x", "--epsilon", "0.1"])
+        missing = str(tmp_path / "missing.npy")
+        with pytest.raises(SystemExit, match="cannot read point"):
+            main(["verify", xor_path, "--center", missing, "--epsilon", "0.1"])
+        with pytest.raises(SystemExit, match="cannot read point"):
+            main(["attack", xor_path, "--center", "0.5,x"])
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(
+            {"jobs": [{"network": xor_path, "center": "0.5,x"}]}
+        ))
+        with pytest.raises(SystemExit, match="cannot read point"):
+            main(["schedule", str(manifest)])
+
+
+def _result_line(out: str) -> str:
+    return next(line for line in out.splitlines() if line.startswith("result:"))
+
+
+class TestVerifySharedPaths:
+    """``verify`` is a one-job Scheduler run: the escalation and
+    abstraction paths it shares with ``schedule`` must decide the same
+    property the same way as a plain run."""
+
+    @pytest.fixture()
+    def mlp_path(self, tmp_path):
+        from repro.nn.builders import redundant_mlp
+
+        path = tmp_path / "mlp.npz"
+        save_network(
+            redundant_mlp(4, [8, 8], 3, dup=4, noise=1e-9, rng=4), path
+        )
+        return str(path)
+
+    @pytest.mark.parametrize("epsilon", ["0.005", "0.6"])
+    def test_abstraction_prints_the_plain_result(
+        self, mlp_path, capsys, monkeypatch, tmp_path, epsilon
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["verify", mlp_path, "--center", "0.5,0.5,0.5,0.5",
+                "--epsilon", epsilon]
+        plain_code = main(argv)
+        plain = capsys.readouterr().out
+        code = main(argv + ["--abstraction", "syntactic"])
+        out = capsys.readouterr().out
+        assert code == plain_code
+        assert _result_line(out) == _result_line(plain)
+        assert "abstraction: syntactic level 2" in out
+
+    def test_abstraction_not_applicable_runs_concrete(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.nn.layers import Dense
+        from repro.nn.network import Network
+
+        # A single affine layer has no hidden neurons to merge.
+        path = str(tmp_path / "linear.npz")
+        save_network(
+            Network([Dense(np.eye(2), np.zeros(2))], input_shape=(2,)), path
+        )
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "verify", path, "--center", "0.2,0.8", "--epsilon", "0.05",
+            "--abstraction", "syntactic",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "abstraction: not applicable (ran concrete)" in out
+
+    @pytest.mark.parametrize(
+        "center,epsilon", [("0.5,0.5", "0.05"), ("0.5,0.9", "0.5")]
+    )
+    def test_precision_escalation_prints_the_plain_result(
+        self, xor_path, capsys, monkeypatch, tmp_path, center, epsilon
+    ):
+        monkeypatch.chdir(tmp_path)
+        # The flag exports REPRO_PRECISION_ESCALATION; setenv restores
+        # the caller's environment afterwards.
+        monkeypatch.setenv("REPRO_PRECISION_ESCALATION", "0")
+        argv = ["verify", xor_path, "--center", center, "--epsilon", epsilon]
+        plain_code = main(argv)
+        plain = capsys.readouterr().out
+        code = main(argv + ["--precision-escalation"])
+        out = capsys.readouterr().out
+        assert code == plain_code
+        assert _result_line(out) == _result_line(plain)
+
+    def test_escalation_margin_takes_effect(
+        self, xor_path, capsys, monkeypatch, tmp_path
+    ):
+        from repro.obs.metrics import registry
+
+        monkeypatch.chdir(tmp_path)
+        # The flag exports REPRO_PRECISION_ESCALATION; setenv restores
+        # the caller's environment afterwards.
+        monkeypatch.setenv("REPRO_PRECISION_ESCALATION", "0")
+        argv = ["verify", xor_path, "--center", "0.5,0.5", "--epsilon", "0.05",
+                "--precision-escalation"]
+        escalated = {}
+        for margin in ("-1e9", "1e9"):
+            before = registry().counters_snapshot()
+            assert main(argv + [f"--escalation-margin={margin}"]) == 0
+            delta = registry().counters_since(before)
+            escalated[margin] = delta.get("sched.escalated", 0)
+        capsys.readouterr()
+        # Any finite PGD margin is comfortable against -1e9, none against
+        # 1e9: the flag decides whether the float32 verdict is re-run.
+        assert escalated == {"-1e9": 0, "1e9": 1}
+
 
 class TestScheduleCommand:
     @pytest.fixture()
