@@ -11,14 +11,45 @@ pass over preallocated scratch buffers (:class:`ScratchArena`), chained
 through ``np.multiply(..., out=)`` / ``np.add(..., out=)`` so the steady
 state allocates nothing per round.
 
-**Bitwise contract.**  :func:`fused_split_join` computes exactly the
-float sequence of the unfused composition ``_stacked_join(*
-_stacked_relu_split(...))`` — same operations, same operand order, with
-``out=`` variants of the same ufuncs — so its results are bitwise equal
-to the reference path (pinned by ``benchmarks/bench_zonotope_batch.py``).
-Every reduction and product is batch-height-stable, which keeps the
-sequential ``Zonotope.relu`` (the ``R == 1`` instantiation of
-:func:`stacked_relu`) bitwise equal to batched rows at any height.
+**Bitwise contract.**  :func:`fused_split_join` computes the same
+values as the unfused composition ``_stacked_join(*
+_stacked_relu_split(...))`` on finite inputs, so its results are
+``==``-equal to the reference path (pinned by
+``benchmarks/bench_zonotope_batch.py``).  Every reduction and product is
+batch-height-stable, which keeps the sequential ``Zonotope.relu`` (the
+``R == 1`` instantiation of :func:`stacked_relu`) bitwise equal to
+batched rows at any height.
+
+**Magnitude-form join.**  Both branches scale the gathered generators
+``s`` by per-symbol half-widths ``hp, hn >= 0``.  IEEE multiplication is
+sign-symmetric (``fl(-x * h) == -fl(x * h)``) and its rounding is
+monotone, so the kernel never forms the signed branch tensors:
+
+- ``|g_pos| == |s| * hp`` and ``|g_neg| == |s| * hn`` exactly, and both
+  carry the sign of ``s`` wherever they are nonzero;
+- the join's sign agreement ``sign(g_pos) == sign(g_neg) and |g_pos| >
+  tol`` is therefore ``|g_pos| > tol and |g_neg| > 0``, and since
+  ``min(|g_pos|, |g_neg|)`` is already ``0`` where ``g_neg == 0``, the
+  joined magnitude is ``min(|g_pos|, |g_neg|) * (|g_pos| > tol)``;
+- the joined generator is ``copysign(that magnitude, s)``, so each pad
+  term ``|g - joined|`` (a difference of same-signed values, the smaller
+  one subtracted) is exactly ``|g| - |joined|``.
+
+That is one ``abs``, two scalings, one mask, one ``min``, one masking
+multiply, two subtractions and a sign copy per round instead of the
+signed tensors, seven boolean passes and a masked copy.  The only bit
+difference is the sign of some zeros (``copysign(0, s)`` can be
+``-0.0`` where the reference writes ``+0.0``), which ``==`` does not
+see.
+
+**Contiguous row blocks.**  :func:`stacked_relu` sorts the stack rows by
+crossing count (descending, stable) once per call and undoes the sort on
+output.  Round ``t`` processes every row with a ``t``-th crossing, so
+unless a skip or a projection drops a row from the round, the split rows
+are exactly the leading block ``0..R-1``.  :func:`fused_split_join`
+runs those rounds in place on ``gens[:R]`` — no gather of the split rows
+into scratch and no scatter of the joined rows back; the other rounds
+keep the gather path.
 
 **Generator compaction.**  Splits and joins zero out noise symbols: a
 join keeps a generator row only where the two branches' signs agree, so
@@ -33,9 +64,10 @@ representation shapes never change across the transformer boundary.
 Dropping zero rows is value-preserving only because every reduction over
 the generator axis here is *strictly sequential in k*:
 
-- radius/pad sums reduce ``(R, k, n)`` over ``axis=1`` — a strided axis,
-  which numpy accumulates sequentially (adding an exact-zero term is the
-  identity, up to the sign of a zero);
+- radius/pad sums reduce ``(R, k, n)`` over ``k`` with :func:`k_sum`
+  (``einsum("rkn->rn")``), which adds left to right for ``n >= 2``
+  (adding an exact-zero term is the identity, up to the sign of a
+  zero; :func:`k_sum` notes the ``n == 1`` exception);
 - the contraction ``total`` and stale-radius column sums go through
   :func:`gen_sum`, which lays the ``(R, k)`` operand out ``(k, R)``
   C-contiguous so the reduced axis is strided (numpy's pairwise
@@ -47,15 +79,19 @@ the generator axis here is *strictly sequential in k*:
 
 Results under compaction are therefore ``==``-equal to the uncompacted
 path everywhere (signed zeros may differ in bit pattern; ``-0.0 == 0.0``
-is what every equality pin in the test suite compares).  The
-``--no-compaction`` CLI flag (or ``REPRO_NO_COMPACTION=1``, which spawn
-workers inherit) selects the reference path; it toggles only the row
-dropping, never the reduction forms, so both settings stay comparable.
+is what every equality pin in the test suite compares).
+:func:`set_compaction` selects the uncompacted reference path for the
+equivalence tests; it toggles only the row dropping, never the reduction
+forms, so both settings stay comparable.
+
+**Bounded scratch.**  :class:`ScratchArena` keeps one grow-only flat
+block per ``(tag, dtype)`` and serves every shape as a reshaped view of
+its head, so the live-``k`` values compaction produces share one block
+instead of minting one each.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
@@ -68,9 +104,7 @@ from repro.obs.metrics import registry as _metrics_registry
 #: by :mod:`repro.abstract.zonotope` and the batched kernels).
 _COEF_TOL = 1e-12
 
-_TRUTHY = ("1", "true", "yes", "on")
-
-_compaction_on = os.environ.get("REPRO_NO_COMPACTION", "").lower() not in _TRUTHY
+_compaction_on = True
 
 #: Structural counters for the bench-side regression guards.  ``calls``
 #: counts fused split+join invocations; ``arena_allocs`` counts scratch
@@ -92,12 +126,8 @@ def compaction_enabled() -> bool:
 
 
 def set_compaction(enabled: bool) -> bool:
-    """Set the compaction switch; returns the previous value.
-
-    The switch is process-global: the CLI exports ``REPRO_NO_COMPACTION``
-    *before* building a process executor so spawn workers inherit the
-    same setting and stay bitwise comparable to the parent.
-    """
+    """Set the process-global compaction switch; returns the previous
+    value.  Off selects the uncompacted reference path."""
     global _compaction_on
     previous = _compaction_on
     _compaction_on = bool(enabled)
@@ -131,18 +161,38 @@ def gen_sum(stack: np.ndarray) -> np.ndarray:
     return np.add.reduce(buf, axis=0)[:rows]
 
 
-class ScratchArena:
-    """Per-thread scratch blocks for the fused kernel, keyed on dtype and
-    trailing shape with grow-only row capacity.
+def k_sum(stack: np.ndarray) -> np.ndarray:
+    """Sum ``(R, k, n)`` over the generator axis, left to right in ``k``.
 
-    A request for ``nbuf`` buffers of shape ``(r, k, n)`` is served from
-    one ``(nbuf, capacity, k, n)`` block by slicing the leading rows —
-    views stay C-contiguous, so ``out=`` ufunc chains and ``einsum``
-    treat them as ordinary arrays.  Buffers are only valid until the next
-    request with the same key (the round loop copies results out before
-    its next iteration).  Arenas are thread-local
-    (:func:`_thread_arena`): pooled executors run kernel calls on
-    several threads at once and must not share scratch.
+    ``einsum("rkn->rn")`` and ``stack.sum(axis=1)`` both accumulate
+    ``k`` sequentially while ``n >= 2`` (the reduced axis is not the
+    inner one), so they are ``==``-equal; the einsum runs ~2.5x faster
+    at the round loop's small shapes.  At ``n == 1`` numpy collapses
+    either form onto the contiguous ``k`` axis, where each uses its own
+    unrolled order; the ``sum`` form is kept there so results match the
+    reference kernel's.  That order is not sequential, so at ``n == 1``
+    compaction is not guaranteed to be value-neutral.
+    """
+    if stack.shape[2] < 2:
+        return stack.sum(axis=1)
+    return np.einsum("rkn->rn", stack)
+
+
+class ScratchArena:
+    """Per-thread scratch blocks for the fused kernel: one grow-only
+    flat block per ``(tag, dtype)``.
+
+    A request for ``nbuf`` buffers of shape ``(r, k, n)`` is served as
+    views of the block's first ``nbuf * r * k * n`` elements reshaped to
+    ``(nbuf, r, k, n)`` — the views are C-contiguous, so ``out=`` ufunc
+    chains and ``einsum`` treat them as ordinary arrays.  The block grows
+    to exactly the largest request seen and never shrinks, so its size is
+    bounded by the largest round, however many distinct ``k`` values
+    compaction produces.  Buffers are only valid until the next request
+    with the same key (one request per key per kernel call, which
+    writes its results into the stack before it returns).  Arenas are
+    thread-local (:func:`_thread_arena`): pooled executors run kernel
+    calls on several threads at once and must not share scratch.
     """
 
     def __init__(self) -> None:
@@ -151,20 +201,19 @@ class ScratchArena:
     def request(
         self, nbuf: int, r: int, k: int, n: int, dtype=np.float64, tag: str = ""
     ) -> list[np.ndarray]:
-        # The tag keeps same-shape requests from one kernel invocation on
-        # distinct blocks (e.g. (R, k, n) tensors vs (R, 2, k) symbol
-        # ranges when k == n == 2 would otherwise alias).
-        key = (tag, np.dtype(dtype).char, k, n)
+        # The tag keeps requests from one kernel invocation on distinct
+        # blocks (the (R, k, n) tensors vs the (R, 2, k) symbol ranges).
+        dtype = np.dtype(dtype)
+        key = (tag, dtype.char)
+        size = nbuf * r * k * n
         block = self._blocks.get(key)
-        if block is None or block.shape[0] < nbuf or block.shape[1] < r:
-            capacity = r if block is None else max(r, block.shape[1])
-            count = nbuf if block is None else max(nbuf, block.shape[0])
-            block = np.empty((count, capacity, k, n), dtype=dtype)
-            self._blocks[key] = block
+        if block is None or block.size < size:
+            block = self._blocks[key] = np.empty(size, dtype=dtype)
             FUSED_COUNTERS["arena_allocs"] += 1
         else:
             FUSED_COUNTERS["arena_reuses"] += 1
-        return [block[i, :r] for i in range(nbuf)]
+        views = block[:size].reshape(nbuf, r, k, n)
+        return [views[i] for i in range(nbuf)]
 
 
 _TLS = threading.local()
@@ -183,32 +232,38 @@ def fused_split_join(
     errs: np.ndarray,
     rows: np.ndarray,
     dims: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> None:
     """Split + project + join for many ``(row, dim)`` pairs in one pass.
 
-    Returns ``(center, gens, err)`` of the joined branches, shapes
-    ``(R, n) / (R, k, n) / (R, n)``.  Bitwise equal to
-    ``_stacked_join(*_stacked_relu_split(...))`` on the same inputs.
-    The generator output is a scratch-arena view valid only until this
-    thread's next fused call — callers copy it out immediately (the
-    round loop's ``gens[s_rows] = ...`` write-back does exactly that).
+    Overwrites ``centers[rows]``, ``gens[rows]`` and ``errs[rows]`` with
+    the joined branches, ``==``-equal to ``_stacked_join(*
+    _stacked_relu_split(...))`` on the same inputs.  ``rows`` must be
+    ascending and distinct (the round loop builds them in row order).
+    When they are the leading block ``0..R-1`` the kernel reads and
+    writes ``gens[:R]`` directly; otherwise it gathers the rows into
+    scratch and scatters the joined rows back.
     """
     count = rows.size
+    block = int(rows[-1]) == count - 1
     k, n = gens.shape[1], gens.shape[2]
     arena = _thread_arena()
     FUSED_COUNTERS["calls"] += 1
-    # Five (R, k, n) float buffers and three bool masks, reused across
-    # rounds: sub(-> joined gens), both branch tensors, two abs/sign
-    # scratch tensors.  No other (R, k, n) arrays are created.
+    # Three (R, k, n) float buffers (plus the gathered rows off the block
+    # path) and one bool mask, reused across rounds.  No other (R, k, n)
+    # arrays are created.
     dtype = gens.dtype
-    sub, g_pos, g_neg, t1, t2 = arena.request(5, count, k, n, dtype=dtype)
-    m1, m2, m3 = arena.request(3, count, k, n, dtype=bool)
+    if block:
+        sub = gens[:count]
+        mag, t1, t2 = arena.request(3, count, k, n, dtype=dtype)
+    else:
+        sub, mag, t1, t2 = arena.request(4, count, k, n, dtype=dtype)
+        # mode="clip" writes straight into sub; the default mode="raise"
+        # bounce-buffers the gather through a fresh (R, k, n) temporary
+        # (rows come from flatnonzero/argsort and are always in bounds).
+        np.take(gens, rows, axis=0, out=sub, mode="clip")
+    (mask,) = arena.request(1, count, k, n, dtype=bool)
     lo_sym, hi_sym, half = arena.request(3, count, 2, k, dtype=dtype, tag="sym")
 
-    # mode="clip" writes straight into sub; the default mode="raise"
-    # bounce-buffers the gather through a fresh (R, k, n) temporary
-    # (rows come from flatnonzero/argsort and are always in bounds).
-    np.take(gens, rows, axis=0, out=sub, mode="clip")
     coeffs = gens[rows, :, dims]  # (R, k) contiguous gather
     abs_coeffs = np.abs(coeffs)
     total = gen_sum(abs_coeffs) + errs[rows, dims]
@@ -236,52 +291,53 @@ def fused_split_join(
     branch_centers += centers[rows][:, None, :]
     pos_c = branch_centers[:, 0]
     neg_c = branch_centers[:, 1]
-    np.multiply(sub, half[:, 0][:, :, None], out=g_pos)
-    np.multiply(sub, half[:, 1][:, :, None], out=g_neg)
+    # Branch magnitudes |g_pos|, |g_neg| (see "Magnitude-form join").
+    np.abs(sub, out=mag)
+    np.multiply(mag, half[:, 0][:, :, None], out=t1)
+    np.multiply(mag, half[:, 1][:, :, None], out=t2)
     pos_e = errs[rows]
     neg_e = errs[rows]
     span = np.arange(count)
     neg_c[span, dims] = 0.0
-    g_neg[span, :, dims] = 0.0
+    t2[span, :, dims] = 0.0
     neg_e[span, dims] = 0.0
 
     # ---- join, in place over the scratch tensors ---------------------
-    np.abs(g_pos, out=t1)  # |g1|
-    np.abs(g_neg, out=t2)  # |g2|
-    rad1 = t1.sum(axis=1) + pos_e
-    rad2 = t2.sum(axis=1) + neg_e
+    rad1 = k_sum(t1) + pos_e
+    rad2 = k_sum(t2) + neg_e
     lo = np.minimum(pos_c - rad1, neg_c - rad2)
     hi = np.maximum(pos_c + rad1, neg_c + rad2)
     center = (lo + hi) / 2.0
-    # same_sign = (sign(g1) == sign(g2)) & (|g1| > tol), decomposed into
-    # strict-sign clauses so the sign tensors never materialize: where
-    # |g1| > tol the sign of g1 is +-1, and a zero g2 fails both clauses
-    # exactly as sign(0) fails the equality.
-    np.greater(g_pos, _COEF_TOL, out=m1)
-    np.greater(g_neg, 0.0, out=m2)
-    np.logical_and(m1, m2, out=m1)
-    np.less(g_pos, -_COEF_TOL, out=m2)
-    np.less(g_neg, 0.0, out=m3)
-    np.logical_and(m2, m3, out=m2)
-    np.logical_or(m1, m2, out=m1)  # same_sign
-    # sign(g1) * min(|g1|, |g2|) == copysign(min(|g1|, |g2|), g1) under
-    # same_sign (where g1 is strictly signed).
-    np.minimum(t1, t2, out=t1)
-    np.copysign(t1, g_pos, out=t1)
-    joined = sub  # the gather is dead; reuse it for the joined gens
-    joined.fill(0.0)
-    np.copyto(joined, t1, where=m1)
-    np.subtract(g_pos, joined, out=g_pos)
-    np.abs(g_pos, out=g_pos)
-    pad1 = g_pos.sum(axis=1)
+    # |joined| = min(|g1|, |g2|) where the signs agree and |g1| > tol,
+    # else 0; a zero |g2| already zeroes the min.  Multiplying by the
+    # 0/1 mask is exact on the finite, non-negative minimum.
+    np.greater(t1, _COEF_TOL, out=mask)
+    joined_mag = mag  # |s| is dead once both branch magnitudes exist
+    np.minimum(t1, t2, out=joined_mag)
+    np.multiply(joined_mag, mask, out=joined_mag)
+    np.subtract(t1, joined_mag, out=t1)  # |g1 - joined|
+    pad1 = k_sum(t1)
     pad1 += np.abs(pos_c - center)
     pad1 += pos_e
-    np.subtract(g_neg, joined, out=g_neg)
-    np.abs(g_neg, out=g_neg)
-    pad2 = g_neg.sum(axis=1)
+    np.subtract(t2, joined_mag, out=t2)  # |g2 - joined|
+    pad2 = k_sum(t2)
     pad2 += np.abs(neg_c - center)
     pad2 += neg_e
-    return center, joined, np.maximum(pad1, pad2)
+    _copysign_bits(joined_mag, sub)  # joined = copysign(|joined|, s)
+    if not block:
+        gens[rows] = sub
+    centers[rows] = center
+    errs[rows] = np.maximum(pad1, pad2)
+
+
+def _copysign_bits(magnitude: np.ndarray, sign_src: np.ndarray) -> None:
+    """``np.copysign(magnitude, sign_src, out=sign_src)`` for a
+    sign-clear ``magnitude``, as two integer passes over the bit patterns
+    (about half the time of the float ufunc; bitwise identical)."""
+    bits = np.dtype(f"u{sign_src.itemsize}")
+    out = sign_src.view(bits)
+    np.bitwise_and(out, bits.type(1 << (8 * bits.itemsize - 1)), out=out)
+    np.bitwise_or(out, magnitude.view(bits), out=out)
 
 
 def _compact(
@@ -320,10 +376,12 @@ def stacked_relu(
     ``radius`` optionally passes the caller's already-computed pre-clamp
     radii (the batched analogue of the sequential radius cache).
 
-    Inputs are never mutated; with compaction enabled the round loop
-    runs at the live-row ``k`` and the output generators are scattered
-    back to the input ``k`` with zero rows restored (see the module
-    docstring for why that is value-preserving).
+    Inputs are never mutated.  The rounds run over the stack sorted by
+    crossing count, so most split sets are a leading row block joined in
+    place; with compaction enabled they also run at the live-row ``k``.
+    The output is returned in the caller's row order with the generators
+    scattered back to the input ``k`` (see the module docstring for why
+    both are value-preserving).
     """
     rows = centers.shape[0]
     # --- one-pass no-crossing clamp ----------------------------------
@@ -349,6 +407,16 @@ def stacked_relu(
     low = centers - radius
     high = centers + radius
     orders = [_crossing_order(low[r], high[r]) for r in range(rows)]
+    # --- rows with the most crossings first --------------------------
+    counts = np.array([len(o) for o in orders])
+    perm = np.argsort(-counts, kind="stable")
+    if (perm == np.arange(rows)).all():
+        perm = None
+    else:
+        centers, work_gens, errs = centers[perm], work_gens[perm], errs[perm]
+        radius = radius[perm]
+        orders = [orders[r] for r in perm]
+        skips = [skips[r] for r in perm]
     # --- generator compaction ----------------------------------------
     full_k = gens.shape[1]
     live = None
@@ -358,7 +426,7 @@ def stacked_relu(
     # post-clamp radii until its first projection or split invalidates
     # them, after which per-dim bounds come from fresh column sums.
     fresh = np.ones(rows, dtype=bool)
-    for position in range(max((len(o) for o in orders), default=0)):
+    for position in range(max(counts, default=0)):
         todo = [
             (r, int(orders[r][position]))
             for r in range(rows)
@@ -390,12 +458,7 @@ def stacked_relu(
             fresh[p_rows] = False
         s_rows, s_dims = t_rows[split], t_dims[split]
         if s_rows.size:
-            joined = fused_split_join(
-                centers, work_gens, errs, s_rows, s_dims
-            )
-            centers[s_rows] = joined[0]
-            work_gens[s_rows] = joined[1]
-            errs[s_rows] = joined[2]
+            fused_split_join(centers, work_gens, errs, s_rows, s_dims)
             fresh[s_rows] = False
             # Joins are the row-zeroing operation: re-check liveness so
             # later rounds run at the shrunken k.
@@ -409,11 +472,15 @@ def stacked_relu(
         errs = errs + scale * (
             np.abs(centers) + np.abs(work_gens).sum(axis=1) + errs
         )
+    order = slice(None) if perm is None else np.argsort(perm)
     if live is not None and live.size < full_k:
         out_gens = np.zeros((rows, full_k, centers.shape[1]), dtype=centers.dtype)
-        out_gens[:, live, :] = work_gens
-        return centers, out_gens, errs
-    return centers, work_gens, errs
+        if perm is None:
+            out_gens[:, live, :] = work_gens
+        else:
+            out_gens[np.ix_(perm, live)] = work_gens
+        return centers[order], out_gens, errs[order]
+    return centers[order], work_gens[order], errs[order]
 
 
 def _crossing_order(low: np.ndarray, high: np.ndarray) -> np.ndarray:

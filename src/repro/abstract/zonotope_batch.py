@@ -281,13 +281,6 @@ def _stacked_pad_errs(errs: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return out
 
 
-def _crossing_order(low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """One row's crossing dims, widest first (``Zonotope.crossing_dims``)."""
-    crossing = np.flatnonzero((low < 0.0) & (high > 0.0))
-    widths = high[crossing] - low[crossing]
-    return crossing[np.argsort(-widths, kind="stable")]
-
-
 def _stacked_relu(
     centers: np.ndarray,
     gens: np.ndarray,

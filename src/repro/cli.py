@@ -786,14 +786,6 @@ def _add_executor_flag(parser: argparse.ArgumentParser) -> None:
         "(0 shares every array, negative disables the transport; "
         "default from REPRO_SHM_THRESHOLD or 1 MiB)",
     )
-    parser.add_argument(
-        "--no-compaction",
-        action="store_true",
-        help="disable generator compaction in the fused zonotope ReLU "
-        "kernels (the reference path; results stay ==-comparable to the "
-        "compacted default).  Exported to spawn workers via "
-        "REPRO_NO_COMPACTION",
-    )
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
@@ -832,11 +824,6 @@ def _apply_kernel_flags(args: argparse.Namespace) -> None:
     """
     import os
 
-    from repro.abstract.fused import set_compaction
-
-    if getattr(args, "no_compaction", False):
-        os.environ["REPRO_NO_COMPACTION"] = "1"
-        set_compaction(False)
     if getattr(args, "shm_threshold", None) is not None:
         os.environ["REPRO_SHM_THRESHOLD"] = str(args.shm_threshold)
     backend = getattr(args, "backend", None)

@@ -10,16 +10,24 @@ equality: margins, bounds, and every representation array, across
 disjunct budgets, crossing patterns, overflow joins, and batch heights.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.abstract import fused
+from repro.abstract import fused, zonotope_batch
 from repro.abstract.analyzer import analyze, analyze_batch, analyze_batch_multi
 from repro.abstract.batched import BatchedElement
 from repro.abstract.domains import ZONOTOPE, DomainSpec, bounded_zonotopes
 from repro.abstract.powerset import PowersetElement
 from repro.abstract.zonotope import Zonotope
-from repro.abstract.zonotope_batch import PowersetBatch, ZonotopeBatch
+from repro.abstract.zonotope_batch import (
+    PowersetBatch,
+    ZonotopeBatch,
+    _stacked_join,
+    _stacked_relu_split,
+)
+from repro.bench.fusedref import prefused_stacked_relu, promotion_stack
 from repro.nn.builders import lenet_conv, mlp, xor_network
 from repro.utils.boxes import Box
 
@@ -261,7 +269,7 @@ def no_compaction():
 class TestGeneratorCompaction:
     """The fused-kernel compaction invariant: dropping provably-zero
     generator rows changes nothing observable — not against the
-    ``--no-compaction`` reference path, and not against the sequential
+    uncompacted reference path, and not against the sequential
     single-region elements, across overflow-join and budget cases."""
 
     @staticmethod
@@ -336,6 +344,231 @@ class TestGeneratorCompaction:
         fused.reset_counters()
         zb.relu()
         assert fused.FUSED_COUNTERS["compacted_rows"] == 0
+
+
+def _assert_triples_equal(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+
+
+def _left_to_right(stack, axis):
+    """Sum over ``axis`` with an explicit left-to-right loop."""
+    terms = np.moveaxis(stack, axis, 0)
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+class TestSequentialReductions:
+    """The generator-axis sums that compaction relies on add strictly
+    left to right: pinned against an explicit loop."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gen_sum_is_left_to_right(self, dtype):
+        rng = np.random.default_rng(0)
+        for rows, k in [(1, 9), (2, 17), (5, 130), (17, 97)]:
+            # Magnitudes spread over 16 decades make any reassociation
+            # visible in the rounding.
+            stack = rng.standard_normal((rows, k)) * 10.0 ** rng.integers(
+                -8, 8, (rows, k)
+            )
+            stack = stack.astype(dtype)
+            np.testing.assert_array_equal(
+                fused.gen_sum(stack), _left_to_right(stack, axis=1)
+            )
+
+    @pytest.mark.parametrize("strided", [False, True], ids=["contig", "strided"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_k_sum_is_left_to_right(self, dtype, strided):
+        rng = np.random.default_rng(1)
+        for rows, k, n in [(1, 9, 2), (2, 17, 3), (3, 200, 5), (17, 97, 24)]:
+            shape = (rows, 2 * k, n + 3) if strided else (rows, k, n)
+            stack = rng.standard_normal(shape) * 10.0 ** rng.integers(
+                -8, 8, shape
+            )
+            stack = stack.astype(dtype)
+            if strided:
+                stack = stack[:, ::2, 1 : n + 1]
+            got = fused.k_sum(stack)
+            assert got.dtype == stack.dtype
+            np.testing.assert_array_equal(got, _left_to_right(stack, axis=1))
+            np.testing.assert_array_equal(got, stack.sum(axis=1))
+
+    def test_k_sum_width_one_keeps_numpy_sum(self):
+        # At n == 1 numpy reduces the contiguous k axis in its own
+        # unrolled order; k_sum keeps ``sum`` there (the reference form).
+        stack = np.random.default_rng(2).standard_normal((3, 40, 1))
+        np.testing.assert_array_equal(fused.k_sum(stack), stack.sum(axis=1))
+
+
+class TestFusedKernelEdgeCases:
+    """The magnitude-form join, in-place row blocks and flat arena are
+    exact rewrites: the kernel stays ``==`` to the pre-fusion reference
+    (``repro.bench.fusedref``) where a sign, the tolerance or a rounding
+    could tell them apart."""
+
+    @staticmethod
+    def _paths(monkeypatch):
+        """Record which round path (in-place block or gather) each
+        split+join round takes."""
+        taken = []
+        kernel = fused.fused_split_join
+
+        def recording(centers, gens, errs, rows, dims):
+            taken.append(bool(rows[-1] == rows.size - 1))
+            kernel(centers, gens, errs, rows, dims)
+
+        monkeypatch.setattr(fused, "fused_split_join", recording)
+        return taken
+
+    def _check(self, centers, gens, errs, skips):
+        snapshot = [a.copy() for a in (centers, gens, errs)]
+        got = fused.stacked_relu(centers, gens, errs, skips)
+        want = prefused_stacked_relu(
+            centers.copy(), gens.copy(), errs.copy(), skips
+        )
+        _assert_triples_equal(got, want)
+        for before, after in zip(snapshot, (centers, gens, errs)):
+            np.testing.assert_array_equal(before, after)
+        return got
+
+    def test_no_generators(self, monkeypatch):
+        taken = self._paths(monkeypatch)
+        centers, gens, errs, skips = promotion_stack(1, 6, 4, 7, 0.0)
+        # Error terms alone make dims cross: the rounds run at k == 0.
+        self._check(centers, gens[:, :0, :].copy(), errs + 0.5, skips)
+        assert taken
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_row(self, seed, monkeypatch):
+        taken = self._paths(monkeypatch)
+        self._check(*promotion_stack(seed, 1, 20, 9, 0.3))
+        assert taken and all(taken)  # R == 1: every split is the block
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_block_and_gather_rounds(self, seed, monkeypatch):
+        """Skips drop rows out of a round, so both round paths run."""
+        taken = self._paths(monkeypatch)
+        centers, gens, errs, skips = promotion_stack(seed, 12, 30, 10, 0.3)
+        rng = np.random.default_rng(seed)
+        skips = [
+            frozenset(rng.choice(10, 3, replace=False).tolist())
+            if r % 3 == 1 else frozenset()
+            for r in range(12)
+        ]
+        self._check(centers, gens, errs, skips)
+        assert True in taken and False in taken
+
+    def test_coefficients_on_the_tolerance(self):
+        centers, gens, errs, skips = promotion_stack(3, 6, 24, 8, 0.2)
+        rng = np.random.default_rng(3)
+        signs = np.where(rng.random((6, 4, 8)) < 0.5, -1.0, 1.0)
+        # Symbols whose every coefficient is exactly +-tol: untouched by
+        # every split, so |g_pos| == tol and the join must drop them.
+        gens[:, :4, :] = fused._COEF_TOL * signs
+        # Mixed symbols: tol on some dims, ordinary mass on the rest.
+        gens[:, 4, ::2] = fused._COEF_TOL
+        gens[:, 5, 1::2] = -fused._COEF_TOL
+        self._check(centers, gens, errs, skips)
+
+    def test_subnormal_products(self):
+        centers, gens, errs, skips = promotion_stack(4, 6, 16, 8, 0.0)
+        # Dims 1.. carry subnormal generators: every branch product on
+        # them underflows gradually.
+        gens[:, :, 1:] *= 1e-307
+        tiny = np.finfo(np.float64).tiny
+        assert (np.abs(gens[:, :, 1:]) < tiny).any()
+        errs[:, 0] += 0.4  # dim 0 crosses in every row
+        centers[:, 0] = 0.05
+        self._check(centers, gens, errs, skips)
+
+    @pytest.mark.parametrize("first", [0, 1], ids=["block", "gather"])
+    def test_collapsed_branch_half_widths(self, first):
+        """A split far from zero collapses a branch: hp == 0 (or hn == 0)
+        on every symbol the split dim touches."""
+        rng = np.random.default_rng(5)
+        rows, k, n = 5, 7, 5
+        centers = rng.standard_normal((rows, n))
+        gens = rng.standard_normal((rows, k, n))
+        gens[:, 2, :] = 0.0  # one symbol untouched everywhere
+        errs = rng.uniform(0.0, 0.1, (rows, n))
+        # Rows 0..3 are the leading block; rows 1..4 take the gather path.
+        split_rows = np.arange(first, first + 4)
+        dims = np.array([0, 1, 2, 3])
+        centers[first, 0] = -50.0  # positive branch empty: hp == 0
+        centers[first + 1, 1] = 50.0  # negative branch empty: hn == 0
+        split = _stacked_relu_split(centers, gens, errs, split_rows, dims)
+        assert (split[1][0] == 0.0).all(axis=1).sum() > 1
+        assert (split[4][1] == 0.0).all(axis=1).sum() > 1
+        want = _stacked_join(*split)
+        stack = [a.copy() for a in (centers, gens, errs)]
+        fused.fused_split_join(*stack, split_rows, dims)
+        _assert_triples_equal([a[split_rows] for a in stack], want)
+        other = 4 if first == 0 else 0
+        for before, after in zip((centers, gens, errs), stack):
+            np.testing.assert_array_equal(before[other], after[other])
+
+    def test_float32_runs_the_reference_sequence(self, monkeypatch):
+        """float32 differs from the reference only by where the outward
+        rounding slack is added; with the slack off the float sequence is
+        the reference's."""
+        no_slack = lambda dtype, terms: 0.0  # noqa: E731
+        monkeypatch.setattr(fused, "_slack_for", no_slack)
+        monkeypatch.setattr(zonotope_batch, "_slack_for", no_slack)
+        for seed in range(4):
+            stack = promotion_stack(seed, 7, 24, 9, 0.3)
+            args = [a.astype(np.float32) for a in stack[:3]]
+            self._check(*args, stack[3])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_row_permuted_stack_gives_permuted_output(self, seed):
+        centers, gens, errs, skips = promotion_stack(seed + 8, 9, 30, 10, 0.3)
+        skips[2] = frozenset({1, 4})
+        radius = np.abs(gens).sum(axis=1) + errs
+        perm = np.random.default_rng(seed).permutation(9)
+        inputs = [a[perm] for a in (centers, gens, errs, radius)]
+        snapshot = [a.copy() for a in inputs]
+        got = fused.stacked_relu(
+            *inputs[:3], [skips[r] for r in perm], radius=inputs[3]
+        )
+        want = fused.stacked_relu(centers, gens, errs, skips, radius=radius)
+        _assert_triples_equal(got, [w[perm] for w in want])
+        for before, after in zip(snapshot, inputs):
+            np.testing.assert_array_equal(before, after)
+
+
+class TestScratchArenaBound:
+    def test_one_flat_block_per_key(self):
+        """Compaction produces a new live ``k`` almost every round; the
+        arena must serve them all from one grow-only block per
+        ``(tag, dtype)``, sized by the largest request."""
+        shapes = [(1 + k % 5, k, 6) for k in range(3, 60)]  # 57 distinct k
+        seen = {}
+
+        def drive():
+            rng = np.random.default_rng(0)
+            for rows, k, n in shapes:
+                centers = rng.standard_normal((rows, n))
+                gens = rng.standard_normal((rows, k, n)) / k
+                errs = rng.uniform(0.0, 0.1, (rows, n))
+                fused.fused_split_join(
+                    centers, gens, errs, np.arange(rows), np.zeros(rows, int)
+                )
+            seen["arena"] = fused._thread_arena()
+
+        # A fresh thread has a fresh arena, untouched by earlier tests.
+        worker = threading.Thread(target=drive)
+        worker.start()
+        worker.join()
+        blocks = seen["arena"]._blocks
+        assert sorted(blocks) == [("", "?"), ("", "d"), ("sym", "d")]
+        largest = max(r * k * n for r, k, n in shapes)
+        largest_sym = max(r * 2 * k for r, k, _ in shapes)
+        assert blocks[("", "d")].size <= 4 * largest
+        assert blocks[("", "?")].size <= 1 * largest
+        assert blocks[("sym", "d")].size <= 3 * largest_sym
 
 
 class TestSoundness:
