@@ -12,6 +12,10 @@ DeepPoly, zonotope, and powerset-of-zonotope) propagates all ``B``
 regions simultaneously, turning every affine transformer into a single
 GEMM over the batch; the remaining domains (symbolic intervals, interval
 powersets) fall back to a per-region loop with identical results.
+
+Zonotope-family domains run Analyze as a cascade (DESIGN.md §15): a
+one-pass DeepZ :func:`screen` over every row, then the domain's exact
+transformer on the rows the screen could not prove.
 """
 
 from __future__ import annotations
@@ -35,8 +39,15 @@ from repro.utils.timing import Deadline
 #: and the process-worker zonotope fast path (:func:`analyze_multi_entry`
 #: bypasses :func:`analyze_batch_multi`), so Serial and Process runs
 #: count the same work exactly once.
+#: ``screen_rows``/``screen_verified`` count the rows the Analyze cascade's
+#: DeepZ screen saw and proved (:func:`screen`, once per call on every
+#: path, so worker deltas merge like the rest of the group).
 _KERNEL_COUNTERS = _metrics_registry().group(
-    "kernel", ("pgd_batches", "pgd_rows", "analyze_batches", "analyze_rows")
+    "kernel",
+    (
+        "pgd_batches", "pgd_rows", "analyze_batches", "analyze_rows",
+        "screen_rows", "screen_verified",
+    ),
 )
 
 
@@ -62,7 +73,8 @@ class AnalysisResult:
         margin_lower_bound: sound lower bound on
             ``min_{j≠K} (y_K - y_j)`` over the region; positive iff verified.
         output: the abstract element at the network output (for debugging
-            and for tests that check containment of concrete runs).
+            and for tests that check containment of concrete runs) — the
+            DeepZ element for rows the cascade's :func:`screen` proved.
             ``None`` for results that crossed a process boundary — see
             :func:`analyze_multi_entry`.
     """
@@ -98,18 +110,81 @@ def propagate(
     return element
 
 
+def screen(
+    ops: list,
+    regions: Sequence[Box],
+    labels: Sequence[int],
+    domain: DomainSpec,
+    deadline: Deadline | None = None,
+):
+    """The first stage of the Analyze cascade (DESIGN.md §15).
+
+    For a zonotope-family domain (``(Z, 1)`` and every ``(Z, k)``),
+    propagates all regions through the one-pass DeepZ zonotope
+    (:class:`~repro.abstract.zonotope_batch.DeepZBatch`) and returns
+    ``(margins, element)``; rows with a positive margin are VERIFIED, and
+    only the others go on to the domain's exact transformer.  Returns
+    ``None`` for every other base domain.  Every Analyze entry point —
+    sequential, batched, process-worker and checkpointed — screens
+    through here, so all drivers and executors agree row for row.
+    """
+    if domain.base != "zonotope":
+        return None
+    from repro.abstract.zonotope_batch import DeepZBatch
+
+    element = propagate(ops, DeepZBatch.from_boxes(list(regions)), deadline)
+    margins = np.asarray(batch_margins(element, labels), dtype=np.float64)
+    _KERNEL_COUNTERS["screen_rows"] += len(regions)
+    _KERNEL_COUNTERS["screen_verified"] += int(np.count_nonzero(margins > 0.0))
+    return margins, element
+
+
+def _screen_results(
+    ops: list,
+    regions: Sequence[Box],
+    labels: Sequence[int],
+    domain: DomainSpec,
+    deadline: Deadline | None,
+) -> dict[int, AnalysisResult]:
+    """The final VERIFIED results of the rows :func:`screen` proves.
+
+    A screened row's output is its DeepZ zonotope — under a powerset
+    domain wrapped as a one-disjunct powerset, a valid element of that
+    domain.
+    """
+    screened = screen(ops, regions, labels, domain, deadline)
+    if screened is None:
+        return {}
+    from repro.abstract.powerset import PowersetElement
+
+    margins, element = screened
+    results = {}
+    for i in np.flatnonzero(margins > 0.0):
+        output = element.row(int(i))
+        if domain.disjuncts > 1:
+            output = PowersetElement([output], domain.disjuncts)
+        results[int(i)] = AnalysisResult(True, float(margins[i]), output)
+    return results
+
+
 def analyze(
     network: Network,
     region: Box,
     label: int,
     domain: DomainSpec,
     deadline: Deadline | None = None,
+    *,
+    cascade: bool = True,
 ) -> AnalysisResult:
     """Attempt to verify ``(region, label)`` on ``network`` with ``domain``.
 
     Sound: ``verified=True`` implies every point of ``region`` is classified
     as ``label``.  Incomplete: ``verified=False`` only means this abstraction
     could not prove it.
+
+    Zonotope-family domains first try the DeepZ :func:`screen` on a
+    height-1 batch; ``cascade=False`` runs the domain's exact transformer
+    alone (the AI² baseline, and tests that pin that transformer).
     """
     if region.ndim != network.input_size:
         raise ValueError(
@@ -119,10 +194,12 @@ def analyze(
         raise ValueError(
             f"label {label} out of range for {network.output_size} outputs"
         )
-    element = domain.lift(region)
-    output = propagate(
-        network.ops_for(_active_backend().dtype), element, deadline
-    )
+    ops = network.ops_for(_active_backend().dtype)
+    if cascade:
+        screened = _screen_results(ops, [region], [label], domain, deadline)
+        if screened:
+            return screened[0]
+    output = propagate(ops, domain.lift(region), deadline)
     margin = output.min_margin(label)
     return AnalysisResult(
         verified=margin > 0.0, margin_lower_bound=margin, output=output
@@ -182,7 +259,8 @@ def analyze_multi_entry(payload: dict) -> list[AnalysisResult]:
     parent would dwarf the kernel itself.  Zonotope-based domains route
     through the dedicated
     :func:`repro.abstract.zonotope_batch.zonotope_margins_call` kernel
-    (same lift/propagate/margin code, no per-row output views at all).
+    (same screen/lift/propagate/margin code, no per-row output views at
+    all).
     """
     from repro.abstract.zonotope_batch import zonotope_margins_call
     from repro.exec.calls import resolve_network
@@ -255,10 +333,30 @@ def analyze_batch_multi(
     _KERNEL_COUNTERS["analyze_rows"] += len(regions)
     _count_backend_work(1, len(regions))
     ops = network.ops_for(_active_backend().dtype)
-    element = domain.lift_batch(list(regions))
+    results = _screen_results(ops, regions, labels, domain, deadline)
+    rest = [i for i in range(len(regions)) if i not in results]
+    if rest:
+        exact = _exact_batch(
+            network, ops, [regions[i] for i in rest],
+            [labels[i] for i in rest], domain, deadline,
+        )
+        results.update(zip(rest, exact))
+    return [results[i] for i in range(len(regions))]
+
+
+def _exact_batch(
+    network: Network,
+    ops: list,
+    regions: list[Box],
+    labels: list[int],
+    domain: DomainSpec,
+    deadline: Deadline | None,
+) -> list[AnalysisResult]:
+    """The domain's own batched transformer (per-region loop without one)."""
+    element = domain.lift_batch(regions)
     if element is None:
         return [
-            analyze(network, region, lab, domain, deadline)
+            analyze(network, region, lab, domain, deadline, cascade=False)
             for region, lab in zip(regions, labels)
         ]
     element = propagate(ops, element, deadline)
@@ -370,6 +468,11 @@ def analyze_batch_checkpointed(
     requested layer boundaries.  ``resume`` must have been captured for
     this exact ordered region batch, domain, and backend; the suffix run
     is then bitwise-identical to the cold run from the boundary on.
+
+    The cascade's :func:`screen` runs cold on every row, and the exact
+    walk still covers the whole batch: which rows the screen proves
+    depends on every layer, so a checkpoint of only the unproved rows
+    would name a batch no re-trained network reproduces.
     """
     from repro.abstract.checkpoint import (
         region_batch_digest,
@@ -415,8 +518,12 @@ def analyze_batch_checkpointed(
         capture_boundaries,
     )
     margins = batch_margins(element, labels)
+    screened = _screen_results(
+        network.ops_for(_active_backend().dtype), regions, labels, domain,
+        deadline,
+    )
     results = [
-        AnalysisResult(
+        screened.get(i) or AnalysisResult(
             verified=bool(margins[i] > 0.0),
             margin_lower_bound=float(margins[i]),
             output=element.row(i),
@@ -471,7 +578,11 @@ def analyze_checkpointed(
         capture_boundaries,
     )
     margin = float(np.asarray(element.min_margin(label)).reshape(-1)[0])
-    result = AnalysisResult(
+    screened = _screen_results(
+        network.ops_for(_active_backend().dtype), [region], [label], domain,
+        deadline,
+    )
+    result = screened.get(0) or AnalysisResult(
         verified=margin > 0.0, margin_lower_bound=margin, output=element
     )
     return result, captured

@@ -67,7 +67,8 @@ the generator axis here is *strictly sequential in k*:
 - radius/pad sums reduce ``(R, k, n)`` over ``k`` with :func:`k_sum`
   (``einsum("rkn->rn")``), which adds left to right for ``n >= 2``
   (adding an exact-zero term is the identity, up to the sign of a
-  zero; :func:`k_sum` notes the ``n == 1`` exception);
+  zero); width-1 stacks, where :func:`k_sum` falls back to a pairwise
+  sum, are never compacted;
 - the contraction ``total`` and stale-radius column sums go through
   :func:`gen_sum`, which lays the ``(R, k)`` operand out ``(k, R)``
   C-contiguous so the reduced axis is strided (numpy's pairwise
@@ -170,8 +171,8 @@ def k_sum(stack: np.ndarray) -> np.ndarray:
     at the round loop's small shapes.  At ``n == 1`` numpy collapses
     either form onto the contiguous ``k`` axis, where each uses its own
     unrolled order; the ``sum`` form is kept there so results match the
-    reference kernel's.  That order is not sequential, so at ``n == 1``
-    compaction is not guaranteed to be value-neutral.
+    reference kernel's.  That order is not sequential, so
+    :func:`stacked_relu` does not compact width-1 stacks.
     """
     if stack.shape[2] < 2:
         return stack.sum(axis=1)
@@ -418,9 +419,11 @@ def stacked_relu(
         orders = [orders[r] for r in perm]
         skips = [skips[r] for r in perm]
     # --- generator compaction ----------------------------------------
+    # Skipped for width-1 stacks, where ``k_sum`` is numpy's pairwise
+    # sum and dropping zero rows could move the last bits.
     full_k = gens.shape[1]
     live = None
-    if _compaction_on and full_k:
+    if _compaction_on and full_k and gens.shape[2] > 1:
         work_gens, live = _compact(work_gens, np.arange(full_k))
     # ``fresh`` mirrors the sequential radius cache: a row keeps using its
     # post-clamp radii until its first projection or split invalidates

@@ -118,9 +118,12 @@ def _agglomerate(features: np.ndarray, target: int) -> list[np.ndarray]:
     cents = np.array(features, dtype=np.float64)
     counts = np.ones(n)
     active = np.ones(n, dtype=bool)
-    diff = cents[:, None, :] - cents[None, :, :]
-    dist = np.einsum("ijk,ijk->ij", diff, diff)
-    dist[np.tril_indices(n)] = np.inf
+    # Upper triangle row by row: the same per-pair products and sums as
+    # the merge updates below, without an (n, n, d) difference tensor.
+    dist = np.full((n, n), np.inf)
+    for i in range(n - 1):
+        d = cents[i + 1:] - cents[i]
+        dist[i, i + 1:] = np.einsum("ij,ij->i", d, d)
     remaining = n
     while remaining > target:
         i, j = divmod(int(np.argmin(dist)), n)  # i < j: upper triangle only

@@ -336,8 +336,8 @@ class ZonotopeBatch(BatchedElement):
         self.gens = gens
         self.errs = errs
 
-    @staticmethod
-    def from_boxes(boxes: list[Box]) -> "ZonotopeBatch":
+    @classmethod
+    def from_boxes(cls, boxes: list[Box]) -> "ZonotopeBatch":
         if not boxes:
             raise ValueError("need at least one box")
         n = boxes[0].ndim
@@ -347,7 +347,7 @@ class ZonotopeBatch(BatchedElement):
             np.stack([b.radius for b in boxes]),
             dtype,
         )
-        return ZonotopeBatch(centers, np.zeros((len(boxes), 0, n), dtype=dtype), radii)
+        return cls(centers, np.zeros((len(boxes), 0, n), dtype=dtype), radii)
 
     @property
     def batch_size(self) -> int:
@@ -368,7 +368,7 @@ class ZonotopeBatch(BatchedElement):
 
     def rows(self, indices) -> "ZonotopeBatch":
         indices = np.asarray(indices, dtype=np.int64)
-        return ZonotopeBatch(
+        return type(self)(
             self.centers[indices], self.gens[indices], self.errs[indices]
         )
 
@@ -377,7 +377,7 @@ class ZonotopeBatch(BatchedElement):
         return self.centers - radius, self.centers + radius
 
     def affine(self, weight: np.ndarray, bias: np.ndarray) -> "ZonotopeBatch":
-        return ZonotopeBatch(
+        return type(self)(
             *_stacked_affine(self.centers, self.gens, self.errs, weight, bias)
         )
 
@@ -388,12 +388,12 @@ class ZonotopeBatch(BatchedElement):
         )
 
     def maxpool(self, windows: np.ndarray) -> "ZonotopeBatch":
-        return ZonotopeBatch(
+        return type(self)(
             *_stacked_maxpool(self.centers, self.gens, self.errs, windows)
         )
 
     def pad(self, radii: np.ndarray) -> "ZonotopeBatch":
-        return ZonotopeBatch(
+        return type(self)(
             self.centers, self.gens, _stacked_pad_errs(self.errs, radii)
         )
 
@@ -407,6 +407,57 @@ class ZonotopeBatch(BatchedElement):
             f"ZonotopeBatch(batch={self.batch_size}, size={self.size}, "
             f"gens={self.num_gens})"
         )
+
+
+# ----------------------------------------------------------------------
+# DeepZBatch: the Analyze cascade's one-pass screen (DESIGN.md §15)
+# ----------------------------------------------------------------------
+
+
+def _deepz_relu(
+    centers: np.ndarray, gens: np.ndarray, errs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The minimal-area zonotope ReLU (DeepZ), one pass over all rows.
+
+    A crossing neuron ``l < 0 < u`` maps ``x`` to ``λx + μ ± μ`` with
+    ``λ = u/(u−l)``: the band between ``y = λx`` and ``y = λx + 2μ``
+    contains ``relu`` on ``[l, u]`` whenever ``2μ >= −λl`` (at ``x = l``)
+    and ``2μ >= (1−λ)u`` (at ``x = u``).  In exact arithmetic both terms
+    equal ``−ul/(u−l)``; taking their max keeps both endpoints covered
+    whatever way ``λ`` rounded.  The new noise symbol is private to the
+    neuron, so it folds into the neuron's error radius: ``e' = λe + μ``.
+    Dead neurons (``u <= 0``) become exactly zero and active ones
+    (``l >= 0``) pass through unchanged.
+    """
+    radius = _stacked_radius(gens, errs)
+    low = centers - radius
+    high = centers + radius
+    crossing = (low < 0.0) & (high > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where(crossing, high / (high - low), low >= 0.0)
+    mu = np.where(crossing, np.maximum(-lam * low, (1.0 - lam) * high) / 2.0, 0)
+    new_errs = lam * errs + mu
+    scale = _slack_for(centers.dtype, gens.shape[1] + 4)
+    if scale:
+        # Outward rounding (float32 path), as in the fused kernel; the
+        # input magnitude also covers the round-off of the bounds the
+        # slopes are computed from.
+        new_errs += np.where(crossing, scale * (np.abs(centers) + radius), 0.0)
+    return lam * centers + mu, gens * lam[:, None, :], new_errs
+
+
+class DeepZBatch(ZonotopeBatch):
+    """:class:`ZonotopeBatch` with the one-pass DeepZ ReLU.
+
+    Affine, pad, maxpool and the margins are the zonotope kernels; only
+    :meth:`relu` differs (:func:`_deepz_relu`).  It is the first stage of
+    the Analyze cascade for every zonotope-family domain: sound on its
+    own, so a positive margin is final, and one elementwise pass per
+    layer instead of the split+join rounds.
+    """
+
+    def relu(self) -> "DeepZBatch":
+        return DeepZBatch(*_deepz_relu(self.centers, self.gens, self.errs))
 
 
 # ----------------------------------------------------------------------
@@ -797,11 +848,13 @@ def zonotope_margins_call(
 ) -> np.ndarray:
     """Module-level zonotope/powerset margin kernel (process-pool entry).
 
-    Lifts the regions into :class:`ZonotopeBatch` (``disjuncts == 1``) or
-    :class:`PowersetBatch`, propagates through the network, and returns
-    the per-row margin lower bounds under each row's label.  Exactly the
-    arithmetic of ``analyze_batch_multi`` with a zonotope-based domain —
-    the lift, :func:`~repro.abstract.analyzer.propagate`, and
+    Runs the Analyze cascade and returns the per-row margin lower bounds
+    under each row's label: the DeepZ
+    :func:`~repro.abstract.analyzer.screen` on every row, then
+    :class:`ZonotopeBatch` (``disjuncts == 1``) or :class:`PowersetBatch`
+    on the rows it did not prove.  Exactly the arithmetic of
+    ``analyze_batch_multi`` with a zonotope-based domain — the screen,
+    lift, :func:`~repro.abstract.analyzer.propagate`, and
     :func:`~repro.abstract.analyzer.batch_margins` calls are the same
     functions — minus the per-row output views, which a process worker
     must not materialize (pickling a powerset's ``(T, k, n)`` output
@@ -809,7 +862,8 @@ def zonotope_margins_call(
     hottest path the process pool exists for: the split+join contraction
     is Python-loop-heavy and serializes under threads.
     """
-    from repro.abstract.analyzer import batch_margins, propagate
+    from repro.abstract.analyzer import batch_margins, propagate, screen
+    from repro.abstract.domains import DomainSpec
 
     if not regions:
         raise ValueError("zonotope_margins_call needs at least one region")
@@ -817,10 +871,12 @@ def zonotope_margins_call(
         raise ValueError(
             f"got {len(labels)} labels for {len(regions)} regions"
         )
-    if disjuncts == 1:
-        element = ZonotopeBatch.from_boxes(list(regions))
-    else:
-        element = PowersetBatch.from_boxes(list(regions), disjuncts)
     ops = network.ops_for(_active_backend().dtype)
-    element = propagate(ops, element, deadline)
-    return np.asarray(batch_margins(element, labels), dtype=np.float64)
+    domain = DomainSpec("zonotope", disjuncts)
+    margins, _ = screen(ops, regions, labels, domain, deadline)
+    rest = np.flatnonzero(~(margins > 0.0))
+    if rest.size:
+        element = domain.lift_batch([regions[i] for i in rest])
+        element = propagate(ops, element, deadline)
+        margins[rest] = batch_margins(element, [labels[i] for i in rest])
+    return margins

@@ -7,7 +7,9 @@ no "falsified" bars, Charon shows no "unknown" bars).
 
 The paper evaluates two instantiations, reproduced here as module
 constants: plain zonotopes (``AI2_ZONOTOPE``) and bounded powersets of 64
-zonotopes (``AI2_BOUNDED64``).
+zonotopes (``AI2_BOUNDED64``).  AI2 runs exactly the chosen domain's
+transformer: Charon's Analyze cascade (a DeepZ screen ahead of the
+zonotope split+join, DESIGN.md §15) is not part of the baseline.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ class AI2:
         deadline = Deadline(self.timeout)
         try:
             result = analyze(
-                network, prop.region, prop.label, self.domain, deadline
+                network, prop.region, prop.label, self.domain, deadline,
+                cascade=False,
             )
         except TimeoutError:
             return AI2Result("timeout", float("-inf"), watch.stop())

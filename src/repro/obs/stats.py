@@ -192,6 +192,22 @@ def _prefix_section(counters: dict[str, float]) -> list[str]:
     return lines
 
 
+#: The Analyze cascade's screen counters (DESIGN.md §15).
+_SCREEN_COUNTERS = ("kernel.screen_rows", "kernel.screen_verified")
+
+
+def _screen_section(counters: dict[str, float]) -> list[str]:
+    """How many Analyze rows the one-pass DeepZ screen saw and proved."""
+    rows, verified = (counters.get(name, 0) for name in _SCREEN_COUNTERS)
+    if not rows:
+        return []
+    return [
+        "analyze screen (one-pass DeepZ before split+join):",
+        f"  kernel.screen_rows {_fmt(rows)}  kernel.screen_verified "
+        f"{_fmt(verified)} ({100.0 * verified / rows:.1f}% final)",
+    ]
+
+
 def summarize_dump(payload: dict, top: int = 20) -> str:
     """A text summary of one dump: spans, counters, histograms."""
     lines: list[str] = []
@@ -210,10 +226,13 @@ def summarize_dump(payload: dict, top: int = 20) -> str:
     counters = _counters(payload)
     lines.extend(_netabs_section(counters, _histograms(payload)))
     lines.extend(_prefix_section(counters))
+    screen = _screen_section(counters)
+    lines.extend(screen)
     generic = {
         name: value
         for name, value in counters.items()
         if not name.startswith((_NETABS_PREFIX, _PREFIX_PREFIX))
+        and not (screen and name in _SCREEN_COUNTERS)
     }
     if generic:
         lines.append("counters:")

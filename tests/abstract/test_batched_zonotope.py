@@ -339,6 +339,34 @@ class TestGeneratorCompaction:
                         want.output.elements[d], got.output.elements[d]
                     )
 
+    @pytest.mark.parametrize("k", [16, 40, 130])
+    def test_width_one_stacks_match_reference(self, k):
+        """At ``n == 1`` the generator sums are numpy's pairwise ``sum``,
+        which dropping zero rows can reassociate: width-1 stacks skip
+        compaction, so on and off agree exactly."""
+        rng = np.random.default_rng(k)
+        batch = 24
+        gens = rng.standard_normal((batch, k, 1)) * 10.0 ** rng.integers(
+            -8, 8, (batch, k, 1)
+        )
+        gens[:, rng.choice(k, k // 3, replace=False), :] = 0.0
+        # Centers inside the radius, so every row crosses and splits.
+        radius = np.abs(gens).sum(axis=1)
+        centers = radius * rng.uniform(-0.9, 0.9, (batch, 1))
+        zb = ZonotopeBatch(centers, gens, rng.uniform(0.0, 0.2, (batch, 1)))
+        previous = fused.set_compaction(False)
+        try:
+            want = zb.relu()
+        finally:
+            fused.set_compaction(previous)
+        fused.reset_counters()
+        got = zb.relu()
+        np.testing.assert_array_equal(got.centers, want.centers)
+        np.testing.assert_array_equal(got.gens, want.gens)
+        np.testing.assert_array_equal(got.errs, want.errs)
+        assert fused.FUSED_COUNTERS["calls"] > 0
+        assert fused.FUSED_COUNTERS["compacted_rows"] == 0
+
     def test_no_compaction_fixture_disables_counters(self, no_compaction):
         zb = self._promoted_batch(3, batch=4, k=8, n=5, dead=3)
         fused.reset_counters()

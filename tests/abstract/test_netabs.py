@@ -18,6 +18,7 @@ from repro.abstract.analyzer import analyze
 from repro.abstract.domains import BASE_DOMAINS, DomainSpec
 from repro.abstract.netabs import (
     NetworkAbstraction,
+    _agglomerate,
     abstraction_for,
     witness_margin,
 )
@@ -224,6 +225,50 @@ def test_abstraction_for_gates():
 # ----------------------------------------------------------------------
 # Determinism / builder
 # ----------------------------------------------------------------------
+
+
+def _reference_agglomerate(features, target):
+    """Centroid-linkage clustering over a full ``(n, n, d)`` difference
+    tensor: the formulation ``_agglomerate`` must reproduce exactly."""
+    n = features.shape[0]
+    members = [[i] for i in range(n)]
+    cents = np.array(features, dtype=np.float64)
+    counts = np.ones(n)
+    diff = cents[:, None, :] - cents[None, :, :]
+    dist = np.einsum("ijk,ijk->ij", diff, diff)
+    dist[np.tril_indices(n)] = np.inf
+    for _ in range(n - max(1, min(target, n))):
+        i, j = divmod(int(np.argmin(dist)), n)
+        members[i] += members[j]
+        members[j] = None
+        total = counts[i] + counts[j]
+        cents[i] = (cents[i] * counts[i] + cents[j] * counts[j]) / total
+        counts[i] = total
+        dist[j, :] = np.inf
+        dist[:, j] = np.inf
+        for k in range(n):
+            if members[k] is not None and k != i:
+                d = cents[k] - cents[i]
+                dist[min(i, k), max(i, k)] = np.einsum("j,j->", d, d)
+    return [np.array(m) for m in members if m is not None]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clustering_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    net = redundant_mlp(8, [24, 24], 3, dup=4, noise=1e-12, rng=seed)
+    cases = [
+        (np.concatenate([layer.weight, layer.bias[:, None]], axis=1), 24 // k)
+        for layer in net.layers if hasattr(layer, "weight")
+        for k in (2, 4)
+    ]
+    cases.append((rng.standard_normal((40, 7)), 9))
+    for features, target in cases:
+        got = _agglomerate(features, target)
+        want = _reference_agglomerate(features, target)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 def test_abstract_network_digest_deterministic():

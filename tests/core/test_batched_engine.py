@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.abstract.domains import DomainSpec, ZONOTOPE
+from repro.baselines.ai2 import AI2, AI2_ZONOTOPE
 from repro.core.config import VerifierConfig
 from repro.core.policy import BisectionPolicy
 from repro.core.property import RobustnessProperty, linf_property
@@ -67,19 +68,25 @@ class TestXorEquivalence:
         seq, _ = _assert_equivalent(net, prop, _quick())
         assert seq.kind == "verified"
 
-    def test_verified_with_splits(self):
-        # Plain zonotopes force real refinement (the paper's Example 3.1
-        # trace), exercising multi-item frontier sweeps.
+    def test_plain_zonotope_policy(self):
+        # Plain zonotopes on the paper's Example 3.1 region.  The
+        # split+join transformer alone (the AI2 baseline) cannot prove
+        # it, so the paper's trace refines; both engines' Analyze screens
+        # with the minimal-area ReLU first and prove the root region.
         net = xor_network()
         prop = RobustnessProperty(
             Box(np.array([0.3, 0.3]), np.array([0.7, 0.7])), 1
         )
+        assert AI2(AI2_ZONOTOPE).verify(net, prop).kind == "unknown"
         config = _quick()
         policy = BisectionPolicy(domain=ZONOTOPE)
         seq = Verifier(net, policy, config, rng=0).verify(prop)
         bat = BatchedVerifier(net, policy, config, rng=0).verify(prop)
         assert seq.kind == bat.kind == "verified"
-        assert bat.stats.splits == seq.stats.splits >= 1
+        assert bat.stats.pgd_calls == seq.stats.pgd_calls
+        assert bat.stats.analyze_calls == seq.stats.analyze_calls
+        assert bat.stats.splits == seq.stats.splits == 0
+        assert bat.stats.domains_used == seq.stats.domains_used
 
     def test_falsified_region(self):
         net = xor_network()

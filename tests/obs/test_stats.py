@@ -143,3 +143,25 @@ class TestPrefixSection:
     def test_no_prefix_counters_no_section(self):
         dump = make_dump(counters={"cache.hits": 2})
         assert "prefix (incremental" not in summarize_dump(dump)
+
+
+class TestScreenSection:
+    def test_screen_counters_get_their_own_line(self):
+        dump = make_dump(counters={
+            "kernel.screen_rows": 40,
+            "kernel.screen_verified": 30,
+            "kernel.analyze_rows": 40,
+        })
+        text = summarize_dump(dump)
+        assert "analyze screen" in text
+        assert "kernel.screen_rows 40" in text
+        assert "kernel.screen_verified 30 (75.0% final)" in text
+        generic = text.split("counters:")[1]
+        assert "kernel.screen_" not in generic
+        assert "kernel.analyze_rows" in generic
+
+    def test_no_screened_rows_no_section(self):
+        dump = make_dump(counters={"kernel.screen_rows": 0})
+        text = summarize_dump(dump)
+        assert "analyze screen" not in text
+        assert "kernel.screen_rows" in text

@@ -265,9 +265,10 @@ class TestMetricsAggregation:
         for i in range(3):
             center = rng.uniform(0.3, 0.7, 3)
             # ε chosen so the mix survives the first Minimize: verified
-            # and falsified jobs, several refinement rounds, and fused
-            # zonotope kernel work — every counter family is non-zero.
-            prop = linf_property(net, center, 0.05, name=f"z{i}")
+            # and falsified jobs, several refinement rounds, and rows the
+            # DeepZ screen leaves to the fused zonotope kernel — every
+            # counter family is non-zero.
+            prop = linf_property(net, center, 0.1, name=f"z{i}")
             jobs.append(
                 VerificationJob(
                     net, prop, config=config, policy=policy, seed=i,

@@ -17,6 +17,7 @@ from repro import (
     analyze,
     verify,
 )
+from repro.baselines.ai2 import AI2, AI2_ZONOTOPE
 from repro.core.policy import BisectionPolicy
 from repro.nn.builders import example_2_2_network, example_2_3_network, xor_network
 
@@ -76,7 +77,8 @@ class TestExample23:
     def test_zonotope_fails_powerset_succeeds(self):
         net = example_2_3_network()
         box = Box(np.zeros(2), np.ones(2))
-        assert not analyze(net, box, 1, DomainSpec("zonotope", 1)).verified
+        plain = DomainSpec("zonotope", 1)
+        assert not analyze(net, box, 1, plain, cascade=False).verified
         assert analyze(net, box, 1, DomainSpec("zonotope", 2)).verified
 
     def test_unsafe_point_of_figure_4(self):
@@ -85,7 +87,7 @@ class TestExample23:
         # corresponds exactly to that spurious output.
         net = example_2_3_network()
         box = Box(np.zeros(2), np.ones(2))
-        result = analyze(net, box, 1, DomainSpec("zonotope", 1))
+        result = analyze(net, box, 1, DomainSpec("zonotope", 1), cascade=False)
         assert result.margin_lower_bound == pytest.approx(-0.2)
         lo, hi = result.output.bounds()
         assert lo[0] <= 1.2 <= hi[0]
@@ -100,7 +102,7 @@ class TestExample23:
 class TestExample31:
     """Example 3.1 / Figure 5: Algorithm 1 on the XOR network."""
 
-    def test_weak_domain_trace_requires_splits(self):
+    def test_weak_domain_trace(self):
         net = xor_network()
         prop = RobustnessProperty(
             Box(np.array([0.3, 0.3]), np.array([0.7, 0.7])), 1
@@ -108,15 +110,21 @@ class TestExample31:
         policy = BisectionPolicy(domain=DomainSpec("zonotope", 1))
         outcome = verify(net, prop, policy=policy, config=VerifierConfig(timeout=10), rng=0)
         assert outcome.kind == "verified"
-        # The paper's trace splits twice (three verified leaves); our
-        # split points differ but refinement must occur.
-        assert outcome.stats.splits >= 1
-        assert outcome.stats.analyze_calls >= 3
+        # The paper's trace splits twice (three verified leaves) because
+        # its zonotope ReLU is the split+join transformer.  Analyze here
+        # screens with the minimal-area ReLU first (DESIGN.md §15), which
+        # proves the root region outright.
+        assert outcome.stats.splits == 0
+        assert outcome.stats.analyze_calls == 1
 
     def test_plain_zonotope_cannot_do_it_in_one_shot(self):
+        # The paper's fact about the split+join zonotope transformer,
+        # which the fixed-domain AI2 baseline runs without the screen.
         net = xor_network()
         box = Box(np.array([0.3, 0.3]), np.array([0.7, 0.7]))
-        assert not analyze(net, box, 1, DomainSpec("zonotope", 1)).verified
+        prop = RobustnessProperty(box, 1)
+        assert AI2(AI2_ZONOTOPE).verify(net, prop).kind == "unknown"
+        assert not analyze(net, box, 1, DomainSpec("zonotope", 1), cascade=False).verified
 
 
 class TestSection5Guarantees:
